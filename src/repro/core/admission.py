@@ -30,7 +30,6 @@ from repro.perf import probe
 from repro.perf.tables import (
     batching_enabled,
     cache_enabled,
-    fused_commit_enabled,
     ladder_consts,
     note_batched_walk,
     note_warm_fill,
@@ -530,22 +529,6 @@ class AdmissionResult:
         infeasible_job: The first job whose deadline could not be met.
         degraded: Jobs whose deadlines are unmeetable; they hold zero
             reservation and run from leftovers (Section 4.4 soft handling).
-        slack: Planner-internal window-slack flags: ``slack[job_id]`` is
-            True when the producing fill saw at least the job's largest
-            runnable size free across its whole usable window, which makes
-            the fill a pure function of the planning view (every per-slot
-            take is unclamped).  The next event's delta pass reuses such
-            plans without inspecting capacity — see
-            ``AdmissionController._delta_fill_indexed``.  Empty on
-            sequential-solver and cache-disabled fills.
-        perturbed: Job ids whose minimum-share plan was *re-filled* this
-            event (not reused by reference from the retained fill) — the
-            only jobs whose slot-0 share may differ from the previous
-            event on this grid.  ``None`` when the producing path cannot
-            bound the set (cold fills, cache replays, the sequential
-            delta walk); consumers holding per-job state keyed on the
-            share (the Algorithm 2 seed index) then rely on their
-            self-validation alone.
     """
 
     admitted: bool
@@ -553,8 +536,6 @@ class AdmissionResult:
     ledger: Ledger
     infeasible_job: str | None = None
     degraded: set[str] = field(default_factory=set)
-    slack: dict[str, bool] = field(default_factory=dict, repr=False)
-    perturbed: frozenset[str] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -569,17 +550,12 @@ class _RetainedFill:
         plans: Plan per SLO job id (frozen arrays, shared by reference with
             the ledger the fill produced).
         degraded: SLO jobs whose deadlines were unmeetable in that fill.
-        slack: Window-slack flags of that fill (see ``AdmissionResult``);
-            a flagged job's plan is availability-independent and can be
-            reused under perturbed capacity as long as the slack condition
-            holds again.
     """
 
     grid_key: tuple[float, float, int]
     order: list[tuple[float, str, float, int]]
     plans: dict[str, np.ndarray]
     degraded: frozenset[str]
-    slack: dict[str, bool]
 
 
 @keyed(_fill_cache="_fingerprint", _retained="_fingerprint")
@@ -608,8 +584,7 @@ class AdmissionController:
       only the rest — byte-identical to the cold fill because a job's plan
       is a function of exactly (its view, the available-capacity prefix
       ahead of it).  With the batched solver enabled the walk maintains a
-      scalar *perturbation watermark* instead of a delta vector and adds a
-      second reuse tier for slack-flagged jobs (see
+      scalar *perturbation watermark* instead of a delta vector (see
       :meth:`_delta_fill_indexed`).
     - ``_warm_hints`` remembers the cap each ``(job_id, start_slot)`` fill
       chose last time, letting :func:`progressive_filling` verify instead
@@ -654,7 +629,6 @@ class AdmissionController:
         self.fill_cache_misses = 0
         self.delta_hits = 0
         self.delta_reuses = 0
-        self.delta_slack_reuses = 0
         self.delta_refills = 0
         self.delta_fast_accepts = 0
 
@@ -741,7 +715,7 @@ class AdmissionController:
         read-only vector is safe even though Algorithm 2 edits the ledger
         afterwards).
         """
-        admitted, plans, infeasible, degraded, used, slack = cached
+        admitted, plans, infeasible, degraded, used = cached
         out_plans: dict[str, np.ndarray] = {}
         for info in infos:
             plan = plans[info.job_id]
@@ -756,7 +730,6 @@ class AdmissionController:
             ledger=ledger,
             infeasible_job=infeasible,
             degraded=set(degraded),
-            slack=dict(slack),
         )
 
     def plan_shares(
@@ -812,7 +785,6 @@ class AdmissionController:
                 result.infeasible_job,
                 frozenset(result.degraded),
                 result.ledger.used,
-                dict(result.slack),
             )
             while len(self._fill_cache) > self.FILL_CACHE_LIMIT:
                 self._fill_cache.popitem(last=False)
@@ -842,7 +814,6 @@ class AdmissionController:
             order=order,
             plans=plans,
             degraded=frozenset(result.degraded),
-            slack=dict(result.slack),
         )
 
     def _delta_fill(
@@ -856,7 +827,7 @@ class AdmissionController:
         inputs can reuse its retained plan by reference.  Two walk
         implementations share that contract: the batched-solver variant
         (:meth:`_delta_fill_indexed`, default) tracks perturbations with a
-        scalar slot watermark plus per-job slack flags, and the sequential
+        scalar slot watermark, and the sequential
         variant (:meth:`_delta_fill_sequential`) maintains the full
         old-minus-new delta vector.  Returns ``None`` (caller falls back
         to the full fill) when there is no retained fill for this grid.
@@ -891,16 +862,8 @@ class AdmissionController:
         index over usable-window spans: ``w <= lo`` is exactly "this job's
         window does not intersect the perturbed range".
 
-        Jobs whose windows do cross the watermark get a second chance from
-        their retained *slack* flag: if the previous fill saw the job's
-        largest runnable size free across its whole window, its plan was a
-        pure function of the view (every take unclamped); if the current
-        prefix is slack too, a refill would recompute that same pure
-        function, so the retained plan is reused — even though capacity
-        under it changed.  (Warm-hint state may differ between the two
-        fills, but under slack a wrong hint fails verification and the
-        scan lands on the same minimal row, so the fill result is
-        hint-independent.)  Refills first try a *fast accept* against the
+        Jobs whose windows do cross the watermark are refilled.  Refills
+        first try a *fast accept* against the
         event-scoped row store (:meth:`_event_batch_for`): when the job is
         unclamped at its hinted cap and this event's baseline fill already
         solved that cap's constant-throughput row, two scalar comparisons
@@ -913,18 +876,15 @@ class AdmissionController:
         capacity = self.capacity
         old = retained.order
         old_plans = retained.plans
-        old_slack = retained.slack
         n_old = len(old)
         pos = 0
         used = np.zeros(horizon, dtype=np.int64)
         lo = horizon  # slots below ``lo`` see a bit-identical used-prefix
         plans: dict[str, np.ndarray] = {}
-        slack: dict[str, bool] = {}
         degraded: set[str] = set()
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
-        reuses = slack_reuses = refills = fast = 0
-        refilled: list[str] = []
+        reuses = refills = fast = 0
         hints = self._warm_hints
         # Rows solved by this event's baseline fill: an unclamped refill
         # whose hinted cap still matches verifies against the stored row
@@ -961,35 +921,19 @@ class AdmissionController:
                 )
             info.degraded = False
             w = info.window(0)
-            if matched:
-                reuse = w <= lo
-                if reuse:
-                    # Unperturbed prefix: the slack condition holds exactly
-                    # when it held in the retained fill.
-                    if old_slack.get(info.job_id, False):
-                        slack[info.job_id] = True
-                elif (
-                    old_slack.get(info.job_id, False)
-                    and info.sizes
-                    and capacity - int(used[:w].max()) >= int(info.sizes[-1])
-                ):
-                    reuse = True
-                    slack_reuses += 1
-                    slack[info.job_id] = True
-                if reuse:
-                    plan = old_plans[info.job_id]
-                    if info.job_id in retained.degraded:
-                        info.degraded = True
-                        degraded.add(info.job_id)
-                        infeasible = infeasible or info.job_id
-                    info.min_share_plan = plan
-                    plans[info.job_id] = plan
-                    if w:
-                        used[:w] += plan[:w]
-                    reuses += 1
-                    continue
+            if matched and w <= lo:
+                plan = old_plans[info.job_id]
+                if info.job_id in retained.degraded:
+                    info.degraded = True
+                    degraded.add(info.job_id)
+                    infeasible = infeasible or info.job_id
+                info.min_share_plan = plan
+                plans[info.job_id] = plan
+                if w:
+                    used[:w] += plan[:w]
+                reuses += 1
+                continue
             refills += 1
-            refilled.append(info.job_id)
             old_plan = old_plans[info.job_id] if had_old else None
             free_min = capacity - int(used[:w].max()) if w else capacity
             plan = None
@@ -1030,8 +974,6 @@ class AdmissionController:
                 degraded.add(info.job_id)
                 infeasible = infeasible or info.job_id
                 plan = np.zeros(horizon, dtype=np.int64)
-            if info.sizes and w:
-                slack[info.job_id] = free_min >= int(info.sizes[-1])
             info.min_share_plan = plan
             plans[info.job_id] = plan
             if old_plan is not None:
@@ -1053,7 +995,6 @@ class AdmissionController:
         probe.add_counters({"alg1_delta_fast": fast})
         self.delta_hits += 1
         self.delta_reuses += reuses
-        self.delta_slack_reuses += slack_reuses
         self.delta_refills += refills
         self.delta_fast_accepts += fast
         return AdmissionResult(
@@ -1062,8 +1003,6 @@ class AdmissionController:
             ledger=ledger,
             infeasible_job=infeasible,
             degraded=degraded,
-            slack=slack,
-            perturbed=frozenset(refilled),
         )
 
     @mutates("Ledger._plans", "Ledger._used")
@@ -1203,25 +1142,6 @@ class AdmissionController:
         sequential walk, so the fill is bit-identical (the property tests
         and the scale benches assert this against
         :func:`repro.perf.tables.batched_solver_disabled`).
-
-        The walk also records each job's window-slack flag — whether the
-        largest runnable size was free across its whole window — which the
-        next event's :meth:`_delta_fill_indexed` uses as its second reuse
-        tier.
-
-        While :func:`repro.perf.tables.fused_commit_enabled` holds, runs
-        of consecutive fast-accepted plans are committed as *fused* array
-        updates: a fast-accepted plan is a constant ``s_cap`` prefix with
-        the completion slot shaved to at most ``s_cap`` — non-increasing —
-        so while every committed plan is non-increasing the occupancy
-        vector is too, and the per-window ``max`` the walk gates on is
-        just its slot-0 value.  Each fast accept then deposits three
-        integer entries into a difference vector instead of an O(window)
-        array add, and one ``cumsum`` materialises the whole run when a
-        fallback (or the final ledger load) needs exact per-slot
-        occupancy.  Integer arithmetic is exact, so the materialised
-        vector and every ``free_min`` read along the way are bit-equal to
-        the per-plan adds.
         """
         horizon = grid.horizon
         capacity = self.capacity
@@ -1268,39 +1188,11 @@ class AdmissionController:
 
         used = np.zeros(horizon, dtype=np.int64)
         plans: dict[str, np.ndarray] = {}
-        slack: dict[str, bool] = {}
         degraded: set[str] = set()
         infeasible: str | None = None
         zero_plan: np.ndarray | None = None
-        fused = fused_commit_enabled()
-        # Deferred fast-accept commits: ``diff`` holds per-slot deltas of
-        # the run in flight, ``pending0`` their exact slot-0 total and
-        # ``pending_hi`` one past the highest touched index.  ``fused``
-        # is demoted for the rest of the walk the moment a committed plan
-        # is not non-increasing, because only then can the occupancy max
-        # sit anywhere but slot 0.
-        diff = np.zeros(horizon + 1, dtype=np.int64) if fused else None
-        pending0 = 0
-        pending_hi = 0
-        fused_runs = 0
-        fused_jobs = 0
         fast_accepts = 0
         fallbacks = 0
-
-        def materialize() -> None:
-            nonlocal pending0, pending_hi, fused_runs
-            if pending_hi:
-                k = min(pending_hi, horizon)
-                # int64 cumsum: exact, so the fused run lands bit-equal
-                # to the per-plan adds it replaced.  The entry at index
-                # ``horizon`` (a run ending in the last slot) only closes
-                # intervals past the horizon and is dropped.
-                used[:k] += np.cumsum(diff[:k])
-                diff[:pending_hi] = 0
-                pending0 = 0
-                pending_hi = 0
-                fused_runs += 1
-
         for i, info in enumerate(ordered):
             info.degraded = False
             if info.best_effort:
@@ -1311,18 +1203,10 @@ class AdmissionController:
                 continue
             prep = prepared[i]
             w = prep[3] if prep is not None else info.window(0)
-            if not w:
-                free_min = capacity
-            elif fused:
-                # Non-increasing occupancy: the max over any window prefix
-                # is the slot-0 value, materialised part plus pending part.
-                free_min = capacity - (int(used[0]) + pending0)
-            else:
-                free_min = capacity - int(used[:w].max())
             plan = None
             if prep is not None:
                 handle, cap, s_cap, _w = prep
-                if free_min >= cap:
+                if capacity - int(used[:w].max()) >= cap:
                     # Unclamped: the batched rows are exactly the rows the
                     # sequential warm verification would have built.
                     required = info.remaining_iterations
@@ -1345,31 +1229,8 @@ class AdmissionController:
                             info.weights[:w],
                             0,
                         )
-                        if fused and w:
-                            # Commit as three difference entries: s_cap
-                            # over [0, done), the shaved size at the
-                            # completion slot, nothing after.
-                            done = int(np.searchsorted(row, threshold))
-                            shaved = int(plan[done])
-                            diff[0] += s_cap
-                            diff[done] += shaved - s_cap
-                            diff[done + 1] -= shaved
-                            pending0 += s_cap if done else shaved
-                            if done + 2 > pending_hi:
-                                pending_hi = done + 2
-                            fused_jobs += 1
-                            if info.sizes:
-                                slack[info.job_id] = free_min >= int(
-                                    info.sizes[-1]
-                                )
-                            info.min_share_plan = plan
-                            plans[info.job_id] = plan
-                            continue
             if plan is None:
                 fallbacks += 1
-                if fused:
-                    # The sequential fill reads exact per-slot capacity.
-                    materialize()
                 plan = progressive_filling(
                     info, capacity - used, warm_hints=hints
                 )
@@ -1378,24 +1239,12 @@ class AdmissionController:
                 info.degraded = True
                 degraded.add(info.job_id)
                 plan = np.zeros(horizon, dtype=np.int64)
-            if info.sizes and w:
-                slack[info.job_id] = free_min >= int(info.sizes[-1])
             info.min_share_plan = plan
             plans[info.job_id] = plan
             if w:
                 used[:w] += plan[:w]
-                if fused and np.any(np.diff(plan[:w]) > 0):
-                    fused = False  # occupancy max may leave slot 0 now
-        if fused:
-            materialize()
         note_batched_walk(fast_accepts, fallbacks)
-        probe.add_counters(
-            {
-                "alg1_fused_runs": fused_runs,
-                "alg1_fused_jobs": fused_jobs,
-                "alg1_row_reuses": row_reuses,
-            }
-        )
+        probe.add_counters({"alg1_row_reuses": row_reuses})
         ledger = Ledger(capacity, horizon)
         ledger.load_plans(plans, used)
         return AdmissionResult(
@@ -1404,7 +1253,6 @@ class AdmissionController:
             ledger=ledger,
             infeasible_job=infeasible,
             degraded=degraded,
-            slack=slack,
         )
 
     @mutates("Ledger._plans", "Ledger._used")

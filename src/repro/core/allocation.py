@@ -38,111 +38,11 @@ from repro.perf.tables import (
     note_warm_fill,
 )
 
-__all__ = ["Upgrade", "UpgradeSeedIndex", "allocate_leftover"]
+__all__ = ["Upgrade", "allocate_leftover"]
 
 #: Distinguishes "no memo yet" from a memoized verification failure
 #: (stored as ``None``) in the upgrade engine's plan cache.
 _UNCACHED = object()
-
-#: Distinguishes "no entry" from a cached "no improving upgrade" verdict
-#: (stored as ``None``) in the seed index.
-_NO_ENTRY = object()
-
-
-@coherent(_entries="verified:lookup")
-class UpgradeSeedIndex:
-    """Persistent first-proposal verdicts for Algorithm 2's seed pass.
-
-    Pass 1 of :func:`_initial_upgrades` runs the same scalar gate sequence
-    for every job on every scheduling event: read the registered plan's
-    slot-0 size, bisect the size ladder for the next runnable size, and
-    check constraint (7) (throughput must strictly improve).  The verdict —
-    the improving next size, or ``None`` when the job cannot grow — is a
-    pure function of ``(tables_token, current_size)``: the ladder and the
-    throughput table are frozen per token, and at seed time the current
-    size is the job's Algorithm 1 minimum share, which the delta fill
-    reuses by reference for every unperturbed job.  The index caches that
-    verdict per job across events, so steady-state jobs answer with one
-    dict hit and two integer compares instead of the bisect-and-lookup
-    gates.
-
-    Coherence class ``verified``: :meth:`lookup` is both the only reader
-    and the verifier — an entry is used only when its stored token and
-    size match the caller's ground truth, so stale entries (plan moved,
-    tables rebuilt) cost one recompute, never a wrong verdict.  The
-    admission delta pass's ``perturbed`` set additionally drops entries
-    eagerly (:meth:`invalidate`), and :meth:`prune` bounds the dict to
-    the live job set on long traces.  Decision-digest equivalence is
-    structural: a hit returns exactly what the gates would recompute.
-    ``repro.perf.tables.seed_index_disabled`` is the escape hatch (the
-    scheduler then passes no index and pass 1 runs the gates inline).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[int, int, int | None]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    @mutates("_entries")
-    def lookup(self, info: PlanningJob, current_size: int) -> int | None:
-        """The improving next size for ``info`` at ``current_size``.
-
-        Returns ``None`` when the job cannot grow (top of its ladder, or
-        the next size does not strictly improve throughput).  Verifier and
-        writer in one: a mismatched or missing entry re-runs the exact
-        gates and overwrites.
-        """
-        entry = self._entries.get(info.job_id, _NO_ENTRY)
-        if (
-            entry is not _NO_ENTRY
-            and entry[0] == info.tables_token
-            and entry[1] == current_size
-        ):
-            self.hits += 1
-            return entry[2]
-        self.misses += 1
-        next_size = info.next_size_after(current_size)
-        if next_size is not None and (
-            info.throughput_table[next_size] <= info.throughput_table[current_size]
-        ):
-            next_size = None
-        self._entries[info.job_id] = (info.tables_token, current_size, next_size)
-        return next_size
-
-    @mutates("_entries")
-    def invalidate(self, perturbed: frozenset[str]) -> None:
-        """Drop the entries of jobs whose minimum share was re-filled."""
-        entries = self._entries
-        for job_id in perturbed:
-            if entries.pop(job_id, None) is not None:
-                self.invalidations += 1
-
-    @mutates("_entries")
-    def prune(self, live_ids: set[str], *, bound: int | None = None) -> int:
-        """Evict entries of departed jobs; returns the eviction count.
-
-        With ``bound``, pruning only happens once the index outgrows it —
-        the common case (index tracks the live set) then costs one length
-        compare instead of a full scan.
-        """
-        if bound is not None and len(self._entries) <= bound:
-            return 0
-        stale = [job_id for job_id in self._entries if job_id not in live_ids]
-        for job_id in stale:
-            del self._entries[job_id]
-        return len(stale)
-
-    def flush_counters(self) -> None:
-        """Move accumulated hit/miss/invalidation counts into the probe."""
-        probe.add_counters(
-            {
-                "alg2_seed_hits": self.hits,
-                "alg2_seed_misses": self.misses,
-                "alg2_seed_invalidations": self.invalidations,
-            }
-        )
-        self.hits = self.misses = self.invalidations = 0
 
 
 class Upgrade(NamedTuple):
@@ -669,7 +569,6 @@ def _initial_upgrades(
     slot_seconds: float,
     warm_hints: dict[tuple[str, int], int] | None,
     engine: _UpgradeEngine | None = None,
-    seed_index: UpgradeSeedIndex | None = None,
 ) -> list[Upgrade]:
     """Every job's first Algorithm 2 proposal, warm tail refills batched.
 
@@ -688,10 +587,6 @@ def _initial_upgrades(
     With an ``engine``, rows are queued into *its* shared batch and their
     handles registered in its ``(job_id, cap)`` cache, so the follow-up
     proposals the upgrade loop builds later reuse the seed rows in place.
-    With a ``seed_index``, the ladder/throughput gates are answered from
-    its persistent per-job verdicts (self-validated against the current
-    size and tables token — exact, see :class:`UpgradeSeedIndex`) instead
-    of re-running the bisect per job per event.
     """
     batch = engine.batch if engine is not None else WarmRowBatch()
     prepared: list[tuple] = []
@@ -706,16 +601,11 @@ def _initial_upgrades(
     for info in infos:
         current = ledger.plan_view(info.job_id)
         current_size = int(current[0])
-        if seed_index is not None:
-            next_size = seed_index.lookup(info, current_size)
-            if next_size is None:
-                continue
-        else:
-            next_size = info.next_size_after(current_size)
-            if next_size is None:
-                continue
-            if info.throughput_table[next_size] <= info.throughput_table[current_size]:
-                continue
+        next_size = info.next_size_after(current_size)
+        if next_size is None:
+            continue
+        if info.throughput_table[next_size] <= info.throughput_table[current_size]:
+            continue
         added = next_size - current_size
         if added > avail0:
             continue
@@ -811,7 +701,6 @@ def allocate_leftover(
     slot_seconds: float,
     *,
     warm_hints: dict[tuple[str, int], int] | None = None,
-    seed_index: UpgradeSeedIndex | None = None,
 ) -> dict[str, int]:
     """Run Algorithm 2: distribute leftover slot-0 GPUs by marginal return.
 
@@ -826,10 +715,6 @@ def allocate_leftover(
             (see :func:`repro.core.admission.progressive_filling`); the
             policy passes its controller's hint dict so cap choices carry
             across events.
-        seed_index: Optional persistent first-proposal verdict cache for
-            the seed pass (see :class:`UpgradeSeedIndex`); only consulted
-            on the engine path, and only while the policy keeps it
-            enabled.
 
     Returns:
         Mapping of job id to its slot-0 GPU allocation (the decision that is
@@ -838,9 +723,7 @@ def allocate_leftover(
     by_id = {info.job_id: info for info in infos}
     revalidate = cache_enabled()
     if revalidate and batching_enabled():
-        return _allocate_with_engine(
-            infos, by_id, ledger, slot_seconds, warm_hints, seed_index
-        )
+        return _allocate_with_engine(infos, by_id, ledger, slot_seconds, warm_hints)
 
     # Ties on (priority, tiebreak) are broken by job id, NOT insertion
     # order: the order must be a property of the proposals themselves so
@@ -885,7 +768,6 @@ def _allocate_with_engine(
     ledger: Ledger,
     slot_seconds: float,
     warm_hints: dict[tuple[str, int], int] | None,
-    seed_index: UpgradeSeedIndex | None = None,
 ) -> dict[str, int]:
     """The vectorized upgrade loop (caches + batching on).
 
@@ -914,9 +796,7 @@ def _allocate_with_engine(
     pushes = pops = gen_skips = watermark_hits = stale_revals = 0
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    for upgrade in _initial_upgrades(
-        infos, ledger, slot_seconds, warm_hints, engine, seed_index
-    ):
+    for upgrade in _initial_upgrades(infos, ledger, slot_seconds, warm_hints, engine):
         job_id = upgrade.job_id
         gen = generation.get(job_id, 0) + 1
         generation[job_id] = gen
@@ -978,6 +858,4 @@ def _allocate_with_engine(
     counters["alg2_watermark_hits"] += watermark_hits
     counters["alg2_stale_revalidations"] += stale_revals
     engine.flush_counters()
-    if seed_index is not None:
-        seed_index.flush_counters()
     return {info.job_id: int(ledger.plan_view(info.job_id)[0]) for info in infos}

@@ -16,19 +16,16 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.admission import AdmissionController, PlanningJob, planning_job
-from repro.core.allocation import UpgradeSeedIndex, allocate_leftover
+from repro.core.allocation import allocate_leftover
 from repro.core.job import Job
 from repro.core.operator import OperatorPolicy
 from repro.core.slots import SlotGrid
 from repro.errors import ConfigurationError
 from repro.perf import probe
-from repro.perf.coherence import coherent, invalidates, keyed, mutates
+from repro.perf.coherence import coherent, invalidates, mutates
 from repro.perf.tables import (
     cache_enabled,
-    curve_revision,
-    frame_enabled,
     planning_tables_for,
-    seed_index_enabled,
     tables_global_revision,
 )
 from repro.sim.interface import SchedulerPolicy
@@ -40,12 +37,11 @@ __all__ = ["ElasticFlowPolicy"]
 class _PlanningFrame:
     """Persistent planning views for the whole active set.
 
-    The previous generation rebuilt every ``PlanningJob`` through a
-    per-event LRU: grids re-anchor at each event's ``now``, so every key
-    missed across events and every view paid dataclass construction,
-    per-job padding math, and cache churn — O(active jobs) Python work on
-    every scheduling event.  The frame instead keeps one view per live
-    job and *refreshes* the event-dependent inputs in place with stacked
+    Grids re-anchor at each event's ``now``, so a view memo keyed by grid
+    misses across events and every view would pay dataclass construction
+    and per-job padding math — O(active jobs) Python work on every
+    scheduling event.  The frame instead keeps one view per live job and
+    *refreshes* the event-dependent inputs in place with stacked
     array math shared across the set: one vectorized padding pass over
     the raw deadlines, one :meth:`SlotGrid.weights_matrix` build, one
     :meth:`SlotGrid.window_ends` searchsorted — then scalar write-backs
@@ -62,14 +58,13 @@ class _PlanningFrame:
     the weight rows and window ends equal ``weights_until``/per-view
     windows (the slot-grid property tests pin this), and write-backs go
     through ``.tolist()`` so views keep carrying plain Python floats —
-    the fill fingerprint hashes the identical values either way.
-    ``repro.perf.tables.planning_frame_disabled`` is the escape hatch
-    back to the per-event LRU path.
+    the fill fingerprint hashes the identical values either way.  The
+    cache-disabled reference path bypasses the frame and builds every
+    view with :func:`repro.core.admission.planning_job`.
 
     ``min_share_plan`` and ``degraded`` are deliberately *not* reset on
     refresh: every fill path (cold, batched, delta, replay) overwrites
-    both for every participating view before anything reads them, which
-    is exactly the contract the LRU path relied on for cache hits.
+    both for every participating view before anything reads them.
     """
 
     def __init__(self, policy: "ElasticFlowPolicy") -> None:
@@ -154,8 +149,7 @@ class _PlanningFrame:
             view.deadline = deadline_list[i]
             view.weights = weight_rows[i]
             w0 = int(ends[i])
-            # Window from slot 1 drops at most the slot-0 weight (the
-            # same seed the LRU batch path planted at construction).
+            # Window from slot 1 drops at most the slot-0 weight.
             view.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
             views.append(view)
 
@@ -177,7 +171,6 @@ class _PlanningFrame:
         return views
 
 
-@keyed(_info_cache="curve_revision")
 class ElasticFlowPolicy(SchedulerPolicy):
     """Deadline-driven serverless scheduling with elastic scaling.
 
@@ -258,19 +251,10 @@ class ElasticFlowPolicy(SchedulerPolicy):
         # LRU-bounded: repeated failure/repair cycles would otherwise
         # accumulate controllers (each pinning its fill memo) forever.
         self._controllers: OrderedDict[int, AdmissionController] = OrderedDict()
-        # Planning views built during one event are rebuilt identically by
-        # the admission pass and the allocation pass (same grid, same
-        # remaining work), so they are memoized under the global cache
-        # switch.  Keys carry the curve revision: an online-profiling
-        # correction invalidates every dependent view.
-        self._info_cache: OrderedDict[tuple, PlanningJob] = OrderedDict()
-        # Persistent structure-of-arrays planning state; replaces the LRU
-        # rebuild path of _infos while repro.perf.tables.frame_enabled
-        # holds (see _PlanningFrame).
+        # Persistent planning views of the active set (see _PlanningFrame);
+        # the admission pass and the allocation pass of one event share
+        # them.
         self._frame = _PlanningFrame(self)
-        # Persistent Algorithm 2 first-proposal verdicts, invalidated by
-        # the delta fill's perturbed set (see UpgradeSeedIndex).
-        self._seed_index = UpgradeSeedIndex()
 
     # ------------------------------------------------------------ interface
     def _planning_capacity(self) -> int:
@@ -339,22 +323,11 @@ class ElasticFlowPolicy(SchedulerPolicy):
         mark = probe.lap("views", mark)
         result = controller.plan_shares(infos, grid, stop_on_failure=False)
         mark = probe.lap("alg1", mark)
-        seed_index = None
-        if cache_enabled() and seed_index_enabled():
-            seed_index = self._seed_index
-            if result.perturbed is not None:
-                # Re-filled jobs may hold a different minimum share now;
-                # unperturbed entries stay and self-validate at lookup.
-                seed_index.invalidate(result.perturbed)
-            seed_index.prune(
-                {job.job_id for job in active}, bound=2 * len(active) + 64
-            )
         decisions = allocate_leftover(
             infos,
             result.ledger,
             grid.slot_seconds,
             warm_hints=controller.warm_hints if cache_enabled() else None,
-            seed_index=seed_index,
         )
         if self.stability_threshold > 0:
             decisions = self._stabilize(
@@ -454,130 +427,25 @@ class ElasticFlowPolicy(SchedulerPolicy):
             )
         return self.context.curve_for(job)
 
-    #: Bound on memoized planning views; LRU-evicted beyond this.
-    INFO_CACHE_LIMIT = 512
-
-    def _info_key(self, job: Job, revision: int, grid: SlotGrid) -> tuple:
-        """Memo key of one planning view (``revision`` is the job curve's
-        ``curve_revision`` — computed by the caller at the write site).
-
-        The grid's *horizon* is deliberately absent: a view's weights run
-        up to its own (padded) deadline, and every grid that includes the
-        job covers that deadline, so all weight-window consumers see
-        identical values on any same-origin/same-width grid.  This lets
-        the admission pass and the same-event allocation pass share one
-        view build even when the candidate's deadline stretched the
-        admission grid's horizon.
-        """
-        spec = job.spec
-        return (
-            job.job_id,
-            job.remaining_iterations,
-            spec.effective_deadline,
-            spec.best_effort,
-            spec.model_name,
-            spec.global_batch_size,
-            revision,
-            grid.origin,
-            grid.slot_seconds,
-            self.context.total_gpus,
-        )
-
     def _infos(self, jobs: list[Job], grid: SlotGrid) -> list[PlanningJob]:
-        """Planning views for every job, missing ones built in one batch.
+        """Planning views for every job, in order.
 
-        Cache hits are served exactly like :meth:`_info`; the misses share
-        a single :meth:`SlotGrid.weights_matrix` build (one vectorized clip
-        over a deadlines-by-slots matrix) instead of one ``weights_until``
-        call per job, and their usable windows come from one
-        ``searchsorted`` (:meth:`SlotGrid.window_ends`) pre-seeded into the
-        per-view window memo.  Every row is bit-identical to the
-        single-job path, so views from either route are interchangeable —
-        including under the fill fingerprint.
-
-        With the planning frame enabled (the default) the whole call is
-        served by :meth:`_PlanningFrame.refresh` instead: persistent
-        views updated in place, no per-event key hashing or LRU churn.
-        The branches below are the frame-disabled fallback and the
-        cache-disabled reference path.
+        The production path is :meth:`_PlanningFrame.refresh`: persistent
+        views updated in place with stacked array math.  The
+        cache-disabled reference builds every view from scratch with
+        :func:`repro.core.admission.planning_job`; both produce
+        bit-identical planning inputs.
         """
-        if not cache_enabled():
-            return [self._info(job, grid) for job in jobs]
-        if frame_enabled():
+        if cache_enabled():
             return self._frame.refresh(jobs, grid)
-        views: list[PlanningJob | None] = [None] * len(jobs)
-        misses: list[tuple[int, Job, object, tuple]] = []
-        for idx, job in enumerate(jobs):
-            curve = self._planning_curve(job)
-            key = self._info_key(job, curve_revision(curve), grid)
-            info = self._info_cache.get(key)
-            if info is None:
-                misses.append((idx, job, curve, key))
-            else:
-                self._info_cache.move_to_end(key)
-                views[idx] = info
-        if misses:
-            # Identical scalar padding math to planning_job, batched rows.
-            deadlines = np.empty(len(misses), dtype=np.float64)
-            for row, (_, job, _, _) in enumerate(misses):
-                deadline = job.spec.effective_deadline
-                if not math.isinf(deadline) and self.deadline_padding_s:
-                    padding = min(
-                        self.deadline_padding_s,
-                        0.1 * max(0.0, deadline - grid.origin),
-                    )
-                    deadline = deadline - padding
-                deadlines[row] = deadline
-            weight_rows = grid.weights_matrix(deadlines)
-            ends = grid.window_ends(deadlines)
-            for row, (idx, job, curve, key) in enumerate(misses):
-                tables = planning_tables_for(curve, self.context.total_gpus)
-                info = PlanningJob(
-                    job_id=job.job_id,
-                    remaining_iterations=job.remaining_iterations
-                    * (1.0 + self.safety_margin),
-                    deadline=float(deadlines[row]),
-                    weights=weight_rows[row],
-                    throughput_table=tables.throughput_table,
-                    size_table=tables.size_table,
-                    sizes=tables.sizes,
-                    best_effort=job.spec.best_effort,
-                    tables_token=tables.token,
-                )
-                w0 = int(ends[row])
-                # Window from slot 1 drops at most the slot-0 weight.
-                info.__dict__["_windows"] = {0: w0, 1: max(w0 - 1, 0)}
-                self._info_cache[key] = info
-                views[idx] = info
-            while len(self._info_cache) > self.INFO_CACHE_LIMIT:
-                self._info_cache.popitem(last=False)
-        return views
-
-    def _info(self, job: Job, grid: SlotGrid) -> PlanningJob:
-        curve = self._planning_curve(job)
-        if not cache_enabled():
-            return planning_job(
+        return [
+            planning_job(
                 job,
-                curve,
+                self._planning_curve(job),
                 grid,
                 self.context.total_gpus,
                 safety_margin=self.safety_margin,
                 deadline_padding_s=self.deadline_padding_s,
             )
-        key = self._info_key(job, curve_revision(curve), grid)
-        info = self._info_cache.get(key)
-        if info is None:
-            info = planning_job(
-                job,
-                curve,
-                grid,
-                self.context.total_gpus,
-                safety_margin=self.safety_margin,
-                deadline_padding_s=self.deadline_padding_s,
-            )
-            self._info_cache[key] = info
-            while len(self._info_cache) > self.INFO_CACHE_LIMIT:
-                self._info_cache.popitem(last=False)
-        else:
-            self._info_cache.move_to_end(key)
-        return info
+            for job in jobs
+        ]

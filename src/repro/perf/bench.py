@@ -35,7 +35,6 @@ import hashlib
 import json
 import pstats
 import time
-from contextlib import ExitStack
 from typing import Any
 
 import numpy as np
@@ -47,12 +46,8 @@ from repro.perf import probe
 from repro.perf.tables import (
     batched_solver_disabled,
     cache_stats,
-    fused_commit_disabled,
     planning_cache_disabled,
-    planning_frame_disabled,
     reset_cache,
-    seed_index_disabled,
-    sim_vector_disabled,
 )
 from repro.profiles.throughput import ThroughputModel
 from repro.sim.engine import Simulator
@@ -269,7 +264,6 @@ def _run_sim(
         "fill_cache_misses": 0,
         "delta_hits": 0,
         "delta_reuses": 0,
-        "delta_slack_reuses": 0,
         "delta_refills": 0,
     }
     for controller in policy._controllers.values():
@@ -277,7 +271,6 @@ def _run_sim(
         incremental["fill_cache_misses"] += controller.fill_cache_misses
         incremental["delta_hits"] += controller.delta_hits
         incremental["delta_reuses"] += controller.delta_reuses
-        incremental["delta_slack_reuses"] += controller.delta_slack_reuses
         incremental["delta_refills"] += controller.delta_refills
     metrics: dict[str, Any] = {
         "wall_s": wall,
@@ -487,7 +480,6 @@ def run_benchmarks(
     seed: int = 0,
     scale: str | None = None,
     profile: bool = False,
-    disable_new_layers: bool = False,
 ) -> dict[str, Any]:
     """Run the harness at one scale and return the report dictionary.
 
@@ -496,10 +488,6 @@ def run_benchmarks(
     per-call dispatch, which does not change with cluster size).
     ``profile`` runs the cached end-to-end pass under :mod:`cProfile` and
     exports the hotspots under the report's ``profile`` key.
-    ``disable_new_layers`` engages all four escape hatches of the
-    persistent-state layers (planning frame, vectorized sim advance, seed
-    index, fused commits) for the whole run — the CI parity gate compares
-    its decision digest against the default run's.
     """
     if scale is None:
         scale = "quick" if quick else "full"
@@ -510,30 +498,23 @@ def run_benchmarks(
         "quick": scale == "quick",
         "scale": scale,
         "seed": seed,
-        "new_layers_disabled": disable_new_layers,
     }
-    with ExitStack() as stack:
-        if disable_new_layers:
-            stack.enter_context(planning_frame_disabled())
-            stack.enter_context(sim_vector_disabled())
-            stack.enter_context(seed_index_disabled())
-            stack.enter_context(fused_commit_disabled())
-        if scale in ("quick", "full"):
-            report["admission"] = bench_admission(
-                100 if scale == "quick" else 400, seed
-            )
-            report["allocation"] = bench_allocation(
-                params["n_jobs"], 20 if scale == "quick" else 60, seed
-            )
-            report["buddy"] = bench_buddy(seed)
-        end_to_end = bench_end_to_end(
-            params["n_jobs"],
-            seed,
-            cluster_gpus=params["cluster_gpus"],
-            gpu_weights=params["gpu_weights"],
-            reference_mode=params["reference_mode"],
-            profile=profile,
+    if scale in ("quick", "full"):
+        report["admission"] = bench_admission(
+            100 if scale == "quick" else 400, seed
         )
+        report["allocation"] = bench_allocation(
+            params["n_jobs"], 20 if scale == "quick" else 60, seed
+        )
+        report["buddy"] = bench_buddy(seed)
+    end_to_end = bench_end_to_end(
+        params["n_jobs"],
+        seed,
+        cluster_gpus=params["cluster_gpus"],
+        gpu_weights=params["gpu_weights"],
+        reference_mode=params["reference_mode"],
+        profile=profile,
+    )
     if "profile" in end_to_end:
         report["profile"] = end_to_end.pop("profile")
     report["end_to_end"] = end_to_end
@@ -573,14 +554,6 @@ def main(argv: list[str] | None = None) -> int:
         "'profile' key (zero overhead when off)",
     )
     parser.add_argument(
-        "--disable-new-layers",
-        action="store_true",
-        help="engage all four persistent-state escape hatches (planning "
-        "frame, vectorized sim advance, Alg 2 seed index, fused commits) "
-        "— the CI parity gate compares this run's decision digest "
-        "against the default run's",
-    )
-    parser.add_argument(
         "--workers",
         default="4",
         help="fan-out width for --suite figures (int or 'auto')",
@@ -618,7 +591,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         scale=args.scale,
         profile=args.profile,
-        disable_new_layers=args.disable_new_layers,
     )
     output = args.output or DEFAULT_OUTPUT
     with open(output, "w") as handle:
@@ -652,8 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     inc = e2e["cached"]["incremental"]
     print(
         f"incremental: delta {inc['delta_hits']} fills ({inc['delta_reuses']} "
-        f"reused, {inc['delta_slack_reuses']} via slack / "
-        f"{inc['delta_refills']} refilled), fill-memo {inc['fill_cache_hits']} hits"
+        f"reused / {inc['delta_refills']} refilled), fill-memo {inc['fill_cache_hits']} hits"
     )
     print(f"report written to {output}")
     return 0

@@ -50,18 +50,6 @@ __all__ = [
     "batching_enabled",
     "set_batching_enabled",
     "batched_solver_disabled",
-    "frame_enabled",
-    "set_frame_enabled",
-    "planning_frame_disabled",
-    "sim_vector_enabled",
-    "set_sim_vector_enabled",
-    "sim_vector_disabled",
-    "seed_index_enabled",
-    "set_seed_index_enabled",
-    "seed_index_disabled",
-    "fused_commit_enabled",
-    "set_fused_commit_enabled",
-    "fused_commit_disabled",
     "tables_global_revision",
     "cache_stats",
     "ladder_consts",
@@ -99,10 +87,6 @@ _store: "WeakKeyDictionary[object, dict[int, PlanningTables]]" = WeakKeyDictiona
 _revisions: "WeakKeyDictionary[object, int]" = WeakKeyDictionary()
 _enabled: bool = True
 _batching: bool = True
-_frame: bool = True
-_sim_vector: bool = True
-_seed_index: bool = True
-_fused_commit: bool = True
 _global_revision: int = 0
 _stats = {
     "hits": 0,
@@ -174,9 +158,10 @@ def invalidate_planning_tables(curve) -> None:
     no table was cached, so revision-keyed memos elsewhere (e.g. the
     simulator's per-placement rate memo) always see the change.  The
     module-wide :func:`tables_global_revision` counter advances too, so
-    whole-set validity checks (the simulator's vectorized rate array) can
-    detect *any* curve movement with one integer compare instead of
-    re-deriving per-curve revisions.
+    whole-set validity checks (the persistent planning frame, the
+    admission controller's event-scoped row store) can detect *any* curve
+    movement with one integer compare instead of re-deriving per-curve
+    revisions.
     """
     global _global_revision
     _revisions[curve] = _revisions.get(curve, 0) + 1
@@ -334,126 +319,6 @@ def batched_solver_disabled():
         yield
     finally:
         set_batching_enabled(previous)
-
-
-def frame_enabled() -> bool:
-    """Whether the persistent planning frame (``scheduler._PlanningFrame``)
-    is on.
-
-    The frame keeps the whole active set's planning views as stacked
-    arrays updated in place across events; turning it off restores the
-    per-event LRU rebuild path of the previous generation.  Call sites
-    must still gate on :func:`cache_enabled` first.
-    """
-    return _frame
-
-
-def set_frame_enabled(enabled: bool) -> bool:
-    """Flip the planning-frame switch; returns the previous setting."""
-    global _frame
-    previous = _frame
-    _frame = bool(enabled)
-    return previous
-
-
-@contextmanager
-def planning_frame_disabled():
-    """Context manager: rebuild planning views per event (no frame).
-
-    The escape-hatch parity tests run the identical workload under this
-    and assert decision-digest equivalence against the frame path.
-    """
-    previous = set_frame_enabled(False)
-    try:
-        yield
-    finally:
-        set_frame_enabled(previous)
-
-
-def sim_vector_enabled() -> bool:
-    """Whether the simulator's vectorized SoA progress advance is on.
-
-    When off (or whenever the SoA preconditions fail — cache disabled, an
-    observation hook installed, or a curve revision moved), the simulator
-    falls back to the scalar per-job ``Job.advance`` loop.
-    """
-    return _sim_vector
-
-
-def set_sim_vector_enabled(enabled: bool) -> bool:
-    """Flip the vectorized-sim-progress switch; returns the previous
-    setting."""
-    global _sim_vector
-    previous = _sim_vector
-    _sim_vector = bool(enabled)
-    return previous
-
-
-@contextmanager
-def sim_vector_disabled():
-    """Context manager: advance job progress with the scalar per-job loop."""
-    previous = set_sim_vector_enabled(False)
-    try:
-        yield
-    finally:
-        set_sim_vector_enabled(previous)
-
-
-def seed_index_enabled() -> bool:
-    """Whether the incremental Algorithm 2 seed index is on.
-
-    The seed index persists each job's first-upgrade candidate across
-    events (see ``repro.core.allocation.UpgradeSeedIndex``); turning it
-    off re-runs the scalar proposal gates for every job on every event.
-    """
-    return _seed_index
-
-
-def set_seed_index_enabled(enabled: bool) -> bool:
-    """Flip the Alg 2 seed-index switch; returns the previous setting."""
-    global _seed_index
-    previous = _seed_index
-    _seed_index = bool(enabled)
-    return previous
-
-
-@contextmanager
-def seed_index_disabled():
-    """Context manager: re-derive every first-upgrade candidate from
-    scratch."""
-    previous = set_seed_index_enabled(False)
-    try:
-        yield
-    finally:
-        set_seed_index_enabled(previous)
-
-
-def fused_commit_enabled() -> bool:
-    """Whether ``_fill_batched`` commits fast-accept runs as fused array
-    updates.
-
-    When off, every accepted plan is committed to the shared usage ledger
-    with its own O(window) array add, as the previous generation did.
-    """
-    return _fused_commit
-
-
-def set_fused_commit_enabled(enabled: bool) -> bool:
-    """Flip the fused-commit switch; returns the previous setting."""
-    global _fused_commit
-    previous = _fused_commit
-    _fused_commit = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fused_commit_disabled():
-    """Context manager: commit each accepted plan individually."""
-    previous = set_fused_commit_enabled(False)
-    try:
-        yield
-    finally:
-        set_fused_commit_enabled(previous)
 
 
 def cache_stats() -> dict[str, int]:

@@ -15,8 +15,6 @@ import bisect
 import heapq
 import itertools
 
-import numpy as np
-
 from repro.cluster.placement import PlacementManager
 from repro.cluster.topology import ClusterSpec
 from repro.core.job import Job, JobSpec, JobStatus
@@ -24,12 +22,7 @@ from repro.errors import PlacementError, SchedulingError, SimulationError
 from repro.numeric import EPS, is_power_of_two
 from repro.perf import probe
 from repro.perf.coherence import coherent, invalidates, keyed, mutates
-from repro.perf.tables import (
-    cache_enabled,
-    curve_revision,
-    sim_vector_enabled,
-    tables_global_revision,
-)
+from repro.perf.tables import cache_enabled, curve_revision
 from repro.profiles.throughput import Placement, ThroughputModel
 from repro.sim.events import Event, EventKind
 from repro.sim.executor import ElasticExecutor
@@ -43,71 +36,7 @@ __all__ = ["Simulator"]
 _COMPLETION_EPS = 1e-3  # iterations of slack when declaring completion
 
 
-class _ProgressSoA:
-    """Stacked progress state of the currently running jobs.
-
-    One row per job that was ``RUNNING`` with a placement when the last
-    reallocation committed, in ``_active`` iteration order (insertion ==
-    admission order — the same order the scalar loop visits).  The arrays
-    mirror exactly the fields :meth:`repro.core.job.Job.advance` touches,
-    so one numpy expression advances every running job at once; rates are
-    the ones ``_reallocate`` already derived for completion projection, so
-    the vector path performs zero per-advance memo lookups.
-
-    ``revision`` pins the planning-table global revision the rates were
-    computed under: an online-profiling curve correction bumps it, which
-    makes :meth:`Simulator._advance_to` fall back to the scalar path (and
-    drop this frame) instead of advancing on stale rates.
-    """
-
-    __slots__ = (
-        "jobs",
-        "rates",
-        "stall",
-        "gpus",
-        "max_iters",
-        "iters",
-        "gsec",
-        "revision",
-    )
-
-    def __init__(self, jobs: list[Job], rates: list[float], revision: int) -> None:
-        self.jobs = jobs
-        self.rates = np.asarray(rates, dtype=np.float64)
-        self.stall = np.array([job.stall_until for job in jobs], dtype=np.float64)
-        self.gpus = np.array([job.n_gpus for job in jobs], dtype=np.float64)
-        self.max_iters = np.array(
-            [float(job.spec.max_iterations) for job in jobs], dtype=np.float64
-        )
-        self.iters = np.array([job.iterations_done for job in jobs], dtype=np.float64)
-        self.gsec = np.array([job.gpu_seconds for job in jobs], dtype=np.float64)
-        self.revision = revision
-
-    def advance(self, window: float, now: float) -> None:
-        """Vectorized :meth:`Job.advance` over every row, then write back.
-
-        Each elementwise operation replays the scalar method's expression
-        in the same order on the same float64 values, so the written-back
-        ``iterations_done``/``gpu_seconds`` are bit-identical to a scalar
-        walk.  Write-back is eager because event handlers (completion
-        guards, checkpointing on reallocation) read the job objects.
-        """
-        start = now - window
-        productive = window - np.maximum(0.0, np.minimum(self.stall, now) - start)
-        bad = productive < 0
-        if bad.any():
-            job = self.jobs[int(np.argmax(bad))]
-            raise SchedulingError(
-                f"job {job.job_id}: stall accounting produced negative time"
-            )
-        np.minimum(self.max_iters, self.iters + productive * self.rates, out=self.iters)
-        self.gsec += productive * self.gpus
-        for job, done, gsec in zip(self.jobs, self.iters.tolist(), self.gsec.tolist()):
-            job.iterations_done = done
-            job.gpu_seconds = gsec
-
-
-@coherent(_alloc_version="event_projections", _soa="sim_soa")
+@coherent(_alloc_version="event_projections")
 @keyed(_rate_memo="curve_revision")
 class Simulator:
     """Replays a workload against one scheduler policy.
@@ -205,11 +134,6 @@ class Simulator:
         # invalidation revision (see repro.perf.tables), so an
         # online-profiling correction transparently invalidates the entry.
         self._rate_memo: dict[str, dict[tuple[int, int, int], float]] = {}
-        # Stacked progress arrays for the running set, rebuilt by
-        # _rebuild_soa at every reallocation; None whenever the vector
-        # advance path is unavailable (hatch off, observation hook
-        # installed, or no running jobs).
-        self._soa: _ProgressSoA | None = None
         self.timeline = Timeline() if record_timeline else None
         self._record_efficiency = record_efficiency
         for spec in self._specs:
@@ -447,28 +371,12 @@ class Simulator:
             )
         window = time - self._last_advance
         if window > 0:
-            soa = self._soa
-            if (
-                soa is not None
-                and sim_vector_enabled()
-                and cache_enabled()
-                and self.observation_hook is None
-                and soa.revision == tables_global_revision()
-            ):
-                soa.advance(window, time)
-                probe.bump("sim_vector_advances")
-                probe.bump("sim_vector_rows", len(soa.jobs))
-            else:
-                if soa is not None:
-                    # A scalar advance makes the stacked arrays stale;
-                    # drop them until the next reallocation rebuilds.
-                    self._rebuild_soa([], [])
-                for job in self._active.values():
-                    if job.status is JobStatus.RUNNING and job.n_gpus > 0:
-                        rate = self._throughput_of(job)
-                        job.advance(window, rate, time)
-                        if self.observation_hook is not None:
-                            self.observation_hook(job, job.n_gpus, rate)
+            for job in self._active.values():
+                if job.status is JobStatus.RUNNING and job.n_gpus > 0:
+                    rate = self._throughput_of(job)
+                    job.advance(window, rate, time)
+                    if self.observation_hook is not None:
+                        self.observation_hook(job, job.n_gpus, rate)
         self._now = max(self._now, time)
         self._last_advance = max(self._last_advance, time)
 
@@ -524,7 +432,6 @@ class Simulator:
         now = self._now
         active = self._active_jobs()
         if not active:
-            self._rebuild_soa([], [])
             self._record_sample()
             return
         decisions = self.policy.allocate(active, now)
@@ -591,18 +498,11 @@ class Simulator:
                     victim.scale_events += 1
                     changed.add(victim_id)
 
-        # Project completions under the new allocation, gathering the
-        # running rows (with the rates just derived) for the vector
-        # advance frame in the same pass.
-        soa_jobs: list[Job] = []
-        soa_rates: list[float] = []
+        # Project completions under the new allocation.
         for job in active:
             if job.n_gpus <= 0:
                 continue
             throughput = self._throughput_of(job)
-            if job.status is JobStatus.RUNNING:
-                soa_jobs.append(job)
-                soa_rates.append(throughput)
             if throughput <= 0:
                 continue
             finish = max(now, job.stall_until) + (
@@ -611,7 +511,6 @@ class Simulator:
             self._push(
                 Event(finish, EventKind.COMPLETION, next(self._seq), job.job_id, version)
             )
-        self._rebuild_soa(soa_jobs, soa_rates)
         self._push(
             Event(now + self.slot_seconds, EventKind.REPLAN, next(self._seq), "", version)
         )
@@ -620,28 +519,6 @@ class Simulator:
         # overhead charging, completion projection — is the engine's own
         # bookkeeping share of the event.
         probe.lap("engine", mark)
-
-    @mutates("_soa")
-    @invalidates("sim_soa")
-    def _rebuild_soa(self, jobs: list[Job], rates: list[float]) -> None:
-        """Replace (or clear) the stacked progress frame.
-
-        This is the single mutation point for ``_soa``: reallocation calls
-        it with the fresh running set, the empty-active path and the scalar
-        advance fallback call it with no rows to drop a stale frame.  The
-        frame is withheld entirely when the vector hatch is off or an
-        observation hook needs per-job callbacks, so those runs never pay
-        the array gather.
-        """
-        if (
-            not jobs
-            or self.observation_hook is not None
-            or not sim_vector_enabled()
-            or not cache_enabled()
-        ):
-            self._soa = None
-            return
-        self._soa = _ProgressSoA(jobs, rates, tables_global_revision())
 
     def _validate_decisions(
         self, decisions: dict[str, int], active: list[Job]

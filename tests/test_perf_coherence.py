@@ -81,10 +81,6 @@ def test_coherence_report_of_the_ledger() -> None:
 
 def test_coherence_report_of_the_simulator() -> None:
     report = coherence_report(Simulator)
-    assert report["coherent_fields"] == {
-        "_alloc_version": "event_projections",
-        "_soa": "sim_soa",
-    }
+    assert report["coherent_fields"] == {"_alloc_version": "event_projections"}
     assert report["keyed_fields"] == {"_rate_memo": "curve_revision"}
     assert report["providers"]["_retire_projections"] == ("event_projections",)
-    assert report["providers"]["_rebuild_soa"] == ("sim_soa",)

@@ -119,7 +119,7 @@ def controller_scenarios(draw):
     """A randomized multi-job admission instance plus a perturbation
     sequence: each step re-plans some subset of the jobs with rescaled
     remaining work, exercising the delta path's departures, arrivals,
-    watermark reuses, slack reuses, and refills."""
+    watermark reuses, and refills."""
     horizon = draw(st.integers(min_value=4, max_value=10))
     capacity = draw(st.sampled_from([4, 8]))
     n_jobs = draw(st.integers(min_value=2, max_value=5))
@@ -211,8 +211,8 @@ def _run_scenario(scenario, mode):
 
 
 class TestBatchedSolverEquivalence:
-    """The batched multi-job solver (with its interval index and slack
-    tier) must be bit-identical to the sequential per-job solver and to the
+    """The batched multi-job solver (with its interval index) must be
+    bit-identical to the sequential per-job solver and to the
     cache-disabled reference across whole perturbation sequences."""
 
     @settings(max_examples=80, deadline=None)

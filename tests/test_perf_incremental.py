@@ -2,11 +2,12 @@
 
 Covers the reuse tiers added on top of the exact-match fill memo — the
 interval-indexed retained-fill event-delta path in ``AdmissionController``
-(watermark reuse plus the slack tier), warm-started progressive filling,
-and the batched cold fill — plus the phase probe, warm-hint pruning, and
-the bounded controller cache.  The load-bearing property throughout is
-*bit-identical decisions*: every fast path must reproduce exactly what the
-cold solve (and the cache-disabled reference) would have produced.
+(watermark reuse), warm-started progressive filling, and the batched cold
+fill — plus the persistent planning frame's view sharing, the phase
+probe, warm-hint pruning, and the bounded controller cache.  The
+load-bearing property throughout is *bit-identical decisions*: every fast
+path must reproduce exactly what the cold solve (and the cache-disabled
+reference) would have produced.
 """
 
 from dataclasses import replace
@@ -16,7 +17,11 @@ import pytest
 
 from repro.cluster import ClusterSpec
 from repro.core import ElasticFlowPolicy, JobSpec
-from repro.core.admission import AdmissionController, progressive_filling
+from repro.core.admission import (
+    AdmissionController,
+    planning_job,
+    progressive_filling,
+)
 from repro.core.job import Job
 from repro.core.plan import Ledger
 from repro.core.slots import SlotGrid
@@ -177,12 +182,10 @@ class TestDeltaFill:
                                   stop_on_failure=False)
         assert ctrl.delta_hits == 1
         # `a` precedes the departure: watermark-reused by reference.  `c`
-        # sits behind the freed capacity, but its retained fill had top-size
-        # headroom, so the slack tier reuses it too — nothing refills.
+        # sits behind the freed capacity, so it refills against exact
+        # availability.
         assert second.plans["a"] is first.plans["a"]
-        assert second.plans["c"] is first.plans["c"]
-        assert ctrl.delta_reuses == 2 and ctrl.delta_refills == 0
-        assert ctrl.delta_slack_reuses == 1
+        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
         self._assert_matches_cold(second, [self.a, self.c])
 
     def test_arrival_refills_only_the_suffix(self):
@@ -193,10 +196,8 @@ class TestDeltaFill:
                                   stop_on_failure=False)
         assert ctrl.delta_hits == 1
         assert second.plans["a"] is first.plans["a"]
-        # Only the arrival itself refills; `c` had slack headroom and is
-        # reused by reference despite sitting behind the new plan.
-        assert second.plans["c"] is first.plans["c"]
-        assert ctrl.delta_reuses == 2 and ctrl.delta_refills == 1
+        # The arrival and `c`, which sits behind the new plan, refill.
+        assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 2
         self._assert_matches_cold(second, [self.a, self.b, self.c])
 
     @pytest.mark.parametrize(
@@ -280,9 +281,10 @@ class TestDeltaFill:
 
 # ------------------------------------------------------------- slack reuse
 class TestSlackReuse:
-    """The slack tier: a retained fill whose usable window kept top-size
-    headroom is availability-independent, so the delta path may reuse it by
-    reference even when capacity ahead of it was perturbed."""
+    """A perturbed suffix refills even where its window has top-size
+    headroom (slack): the delta path keeps no availability-independent
+    reuse tier, so every job behind the watermark is re-solved against
+    exact capacity, and the refill must reproduce the cold fill."""
 
     def setup_method(self):
         self.grid = SlotGrid(origin=0.0, slot_seconds=1.0, horizon=6)
@@ -296,35 +298,38 @@ class TestSlackReuse:
 
     def test_saturated_window_refills_instead(self):
         # At capacity 5 the retained fill of `c` has free headroom of only
-        # 5 - 3 = 2 < top size 4, so the slack tier must not fire and the
-        # departure-perturbed suffix refills normally.
+        # 5 - 3 = 2 < top size 4; the departure-perturbed suffix refills.
         a, b, c = self._jobs(5)
         ctrl = AdmissionController(5)
         ctrl.plan_shares([a, b, c], self.grid, stop_on_failure=False)
         second = ctrl.plan_shares([a, c], self.grid, stop_on_failure=False)
-        assert ctrl.delta_slack_reuses == 0
         assert ctrl.delta_reuses == 1 and ctrl.delta_refills == 1
         cold = AdmissionController(5)._fill([a, c], self.grid,
                                             stop_on_failure=False)
         assert _plans_equal(second.plans, cold.plans)
 
-    def test_slack_reuse_survives_the_sequential_solver_check(self):
-        # The batched and sequential delta paths must agree bit for bit on
-        # the same perturbation sequence (slack reuse is batched-only).
+    def test_slack_window_refill_matches_the_sequential_solver(self):
+        # At capacity 8 `c` keeps top-size headroom behind the departure;
+        # the batched and sequential delta paths both refill it and must
+        # agree with the cold fill bit for bit.
         a, b, c = self._jobs(8)
         batched = AdmissionController(8)
         batched.plan_shares([a, b, c], self.grid, stop_on_failure=False)
         fast = batched.plan_shares([a, c], self.grid, stop_on_failure=False)
-        assert batched.delta_slack_reuses == 1
+        assert batched.delta_reuses == 1 and batched.delta_refills == 1
         with batched_solver_disabled():
             sequential = AdmissionController(8)
             sequential.plan_shares([a, b, c], self.grid,
                                    stop_on_failure=False)
             slow = sequential.plan_shares([a, c], self.grid,
                                           stop_on_failure=False)
-        assert _plans_equal(fast.plans, slow.plans)
-        assert fast.degraded == slow.degraded
-        assert np.array_equal(fast.ledger.used, slow.ledger.used)
+            cold = AdmissionController(8)._fill([a, c], self.grid,
+                                                stop_on_failure=False)
+        assert sequential.delta_refills == 1
+        for result in (fast, slow):
+            assert _plans_equal(result.plans, cold.plans)
+            assert result.degraded == cold.degraded
+            assert np.array_equal(result.ledger.used, cold.ledger.used)
 
 
 # --------------------------------------------------------- warm-hint bound
@@ -439,22 +444,41 @@ class TestLedgerLoadPlans:
 
 # ---------------------------------------------------------- planning views
 class TestPlanningViewSharing:
-    def test_same_origin_grids_share_one_view(self):
-        """The admission grid may be longer than the allocation grid (the
-        candidate's deadline stretches it); both passes must still share
-        one memoized view per job."""
-        policy = _bound_policy()
-        job = _runtime_jobs(1)[0]
-        short = SlotGrid(origin=0.0, slot_seconds=600.0, horizon=12)
-        long = SlotGrid(origin=0.0, slot_seconds=600.0, horizon=24)
-        assert policy._info(job, short) is policy._info(job, long)
+    """The persistent planning frame serves every cached view request."""
 
-    def test_different_origin_builds_a_fresh_view(self):
+    def test_same_origin_grids_share_one_view(self):
+        """An arrival's ``admit`` and the ``allocate`` it triggers at the
+        same ``now`` share one ``PlanningJob`` object per job: the
+        allocation pass builds no view."""
         policy = _bound_policy()
-        job = _runtime_jobs(1)[0]
-        grid_a = SlotGrid(origin=0.0, slot_seconds=600.0, horizon=12)
-        grid_b = SlotGrid(origin=600.0, slot_seconds=600.0, horizon=12)
-        assert policy._info(job, grid_a) is not policy._info(job, grid_b)
+        *active, candidate = _runtime_jobs(3)
+        probe.reset_counters()
+        assert policy.admit(candidate, active, 0.0)
+        admitted_views = dict(policy._frame._entries)
+        builds = probe.counters()["frame_builds"]
+        assert builds == 3
+        policy.allocate(active + [candidate], 0.0)
+        assert probe.counters()["frame_builds"] == builds
+        for job in active + [candidate]:
+            assert policy._frame._entries[job.job_id] is admitted_views[job.job_id]
+
+    def test_new_origin_refreshes_the_view_in_place(self):
+        """A later event keeps the view object but rewrites its inputs."""
+        policy = _bound_policy()
+        jobs = _runtime_jobs(2)
+        policy.allocate(jobs, 0.0)
+        view = policy._frame._entries["j0"]
+        weights = view.weights
+        probe.reset_counters()
+        policy.allocate(jobs, 600.0)
+        assert probe.counters().get("frame_builds", 0) == 0
+        assert policy._frame._entries["j0"] is view
+        grid = policy._grid(600.0, jobs)
+        fresh = planning_job(jobs[0], policy._planning_curve(jobs[0]), grid, 16)
+        assert view.weights is not weights
+        assert np.array_equal(view.weights, fresh.weights)
+        assert view.deadline == fresh.deadline
+        assert view.remaining_iterations == fresh.remaining_iterations
 
 
 # ------------------------------------------------------------- phase probe

@@ -1,34 +1,28 @@
-"""Regression coverage for the persistent per-event planning layers.
+"""Regression coverage for the persistent per-event planning state.
 
-Four layers replaced the per-event rebuild-everything pattern: the
-persistent planning frame (``scheduler._PlanningFrame``), the vectorized
-sim advance (``engine._ProgressSoA``), the Algorithm 2 seed index
-(``allocation.UpgradeSeedIndex``), and the fused commit runs in
-``admission._fill_batched``.  Each keeps an escape hatch in
-:mod:`repro.perf.tables`; this module proves, per hatch, that engaging it
-changes no scheduling decision — and pins the supporting invariants (the
-slot-grid batch math the frame relies on, the rate-memo eviction, the
-seed index's self-validation).
+The persistent planning frame (``scheduler._PlanningFrame``) and the
+admission controller's event-scoped row store replace per-event
+rebuilds of the planning views and the batched rows.  This module pins
+the slot-grid batch math the frame relies on, the rate-memo eviction and
+the row store's reset and bit-identity, and proves that the two
+remaining global switches (:mod:`repro.perf.tables`) change no
+scheduling decision.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterSpec
-from repro.core.allocation import UpgradeSeedIndex
 from repro.core.scheduler import ElasticFlowPolicy
 from repro.core.slots import SlotGrid
 from repro.perf.tables import (
-    fused_commit_disabled,
-    planning_frame_disabled,
+    batched_solver_disabled,
+    planning_cache_disabled,
     reset_cache,
-    seed_index_disabled,
-    sim_vector_disabled,
 )
 from repro.profiles import ThroughputModel
 from repro.sim.engine import Simulator
@@ -139,40 +133,16 @@ def _workload(seed):
     return specs, cluster, throughput
 
 
-HATCHES = {
-    "planning_frame": planning_frame_disabled,
-    "sim_vector": sim_vector_disabled,
-    "seed_index": seed_index_disabled,
-    "fused_commit": fused_commit_disabled,
-}
-
-
 class TestEscapeHatchParity:
-    """Each persistent layer's escape hatch must be decision-neutral: the
-    same seeded trace produces a byte-identical outcome digest with the
-    layer on (default) and off (hatch engaged) — and with all four off."""
-
-    @pytest.mark.parametrize("hatch", sorted(HATCHES))
-    def test_single_hatch_is_decision_neutral(self, hatch):
-        specs, cluster, throughput = _workload(seed=7)
-        reset_cache()
-        _, default = _simulate(specs, cluster, throughput)
-        with HATCHES[hatch]():
-            _, hatched = _simulate(specs, cluster, throughput)
-        assert _digest(default) == _digest(hatched), (
-            f"{hatch} escape hatch changed scheduling decisions"
-        )
+    """The two global switches are decision-neutral: the same seeded trace
+    produces a byte-identical outcome digest on the production path and
+    with both switches engaged (the paper-shaped uncached reference)."""
 
     def test_all_hatches_together_are_decision_neutral(self):
         specs, cluster, throughput = _workload(seed=13)
         reset_cache()
         _, default = _simulate(specs, cluster, throughput)
-        with (
-            planning_frame_disabled(),
-            sim_vector_disabled(),
-            seed_index_disabled(),
-            fused_commit_disabled(),
-        ):
+        with planning_cache_disabled(), batched_solver_disabled():
             _, hatched = _simulate(specs, cluster, throughput)
         assert _digest(default) == _digest(hatched)
 
@@ -191,52 +161,6 @@ def test_rate_memo_evicted_at_completion():
     assert sim._rate_memo == {}, (
         f"rate memo leaked entries for {sorted(sim._rate_memo)[:5]}..."
     )
-
-
-# ------------------------------------------------------------- seed index
-class TestUpgradeSeedIndex:
-    def _info(self, grid, thr, token):
-        info = synthetic_planning_job("j0", 10.0, 4.0, grid, 8, thr)
-        return replace(info, tables_token=token)
-
-    def test_lookup_matches_inline_gates(self, unit_grid):
-        index = UpgradeSeedIndex()
-        info = self._info(unit_grid, {1: 1.0, 2: 1.5, 4: 1.5}, token=3)
-        # From size 1 the ladder's next size is 2 and it strictly improves.
-        assert index.lookup(info, 1) == 2
-        # From size 2 the next size (4) does not improve: verdict is None.
-        assert index.lookup(info, 2) is None
-        # Top of the ladder: nothing above 4.
-        assert index.lookup(info, 4) is None
-
-    def test_hits_self_validate_on_token_and_size(self, unit_grid):
-        index = UpgradeSeedIndex()
-        info = self._info(unit_grid, {1: 1.0, 2: 1.5}, token=3)
-        assert index.lookup(info, 1) == 2
-        assert index.lookup(info, 1) == 2
-        assert index.hits == 1 and index.misses == 1
-        # A different current size misses (entry overwritten, still exact).
-        assert index.lookup(info, 2) is None
-        assert index.misses == 2
-        # A tables rebuild (new token) invalidates via the token compare.
-        rebuilt = self._info(unit_grid, {1: 1.0, 2: 1.5}, token=4)
-        assert index.lookup(rebuilt, 2) is None
-        assert index.misses == 3
-
-    def test_invalidate_and_prune(self, unit_grid):
-        index = UpgradeSeedIndex()
-        info = self._info(unit_grid, {1: 1.0, 2: 1.5}, token=3)
-        index.lookup(info, 1)
-        index.invalidate(frozenset({"j0", "missing"}))
-        assert index.invalidations == 1
-        # The entry is gone: the same lookup misses again.
-        index.lookup(info, 1)
-        assert index.misses == 2
-        assert index.prune({"someone-else"}) == 1
-        # Under the bound, prune is a no-op even for dead entries.
-        index.lookup(info, 1)
-        assert index.prune({"someone-else"}, bound=8) == 0
-        assert index.prune({"someone-else"}, bound=0) == 1
 
 
 # ------------------------------------------------------ event-scoped rows
@@ -299,8 +223,8 @@ class TestEventRowStore:
         baseline = self._infos(grid2, ids, 5.0, 4.0)
         ctrl.plan_shares(baseline, grid2, stop_on_failure=False)
         # Arrival trial at the same event: an earlier-deadline candidate
-        # perturbs the suffix, forcing refills of the non-slack jobs whose
-        # rows the baseline fill just solved.
+        # perturbs the suffix, forcing refills of the jobs whose rows the
+        # baseline fill just solved.
         arrival = replace(
             synthetic_planning_job(
                 "new", 1.5, 3.4, grid2, self.CAPACITY, self.THR

@@ -1,5 +1,7 @@
 """Tests for the memoized planning tables and their invalidation hooks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,25 @@ class TestModuleHygiene:
     def test_public_surface(self):
         for name in tables_mod.__all__:
             assert hasattr(tables_mod, name)
+
+    def test_only_the_cache_and_batching_switches_are_global(self):
+        """Exactly two global code-path switches exist: the planning cache
+        (off = the paper-shaped uncached reference) and the batched solver
+        (off = the sequential-solver reference for large scales)."""
+        switches = {
+            name
+            for name in tables_mod.__all__
+            if name.endswith(("_enabled", "_disabled"))
+        }
+        assert switches == {
+            "cache_enabled",
+            "set_cache_enabled",
+            "planning_cache_disabled",
+            "batching_enabled",
+            "set_batching_enabled",
+            "batched_solver_disabled",
+        }
+
+    def test_compiled_kernel_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.kernels")
